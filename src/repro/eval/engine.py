@@ -53,17 +53,13 @@ from pathlib import Path
 from typing import (Callable, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
-import numpy as np
-
 from repro import metrics
 from repro.eval import checkpoint, faults, reporting
 from repro.obs import spans
 from repro.testing import faults as fault_injection
 from repro.trace import cache as trace_cache
 from repro.trace import shards
-from repro.trace.records import (OC_BRANCH, OC_LOAD, OC_STORE,
-                                 OC_SYSCALL, REGION_DATA, REGION_HEAP,
-                                 REGION_STACK, Trace)
+from repro.trace.records import Trace
 from repro.trace.shards import ShardedTrace
 from repro.workloads import suite
 
@@ -298,29 +294,28 @@ def take_metrics() -> "OrderedDict[str, Dict[str, dict]]":
     return collected
 
 
-def _publish_trace_metrics(trace: Trace) -> None:
+def _publish_trace_metrics(trace) -> None:
     """Publish the functional layer's instruction/region mix.
 
-    A handful of vectorised reductions over the columnar view, taken
-    only when collection is enabled - the disabled fast path costs a
-    single attribute check.
+    Reads ``trace.counts()``: whole-column tallies for an in-RAM trace,
+    the manifest's per-shard tallies (zero shard I/O) for a sharded
+    one.  Taken only when collection is enabled - the disabled fast
+    path costs a single attribute check.
     """
     registry = metrics.active()
     if not registry.enabled:
         return
-    op = trace.columns.op_class
-    mem = (op == OC_LOAD) | (op == OC_STORE)
-    regions = np.bincount(trace.columns.region[mem], minlength=3)
+    counts = trace.counts()
     ns = registry.scoped("cpu")
-    ns.counter("instructions").inc(len(trace))
-    ns.counter("loads").inc(int(np.count_nonzero(op == OC_LOAD)))
-    ns.counter("stores").inc(int(np.count_nonzero(op == OC_STORE)))
-    ns.counter("branches").inc(int(np.count_nonzero(op == OC_BRANCH)))
-    ns.counter("syscalls").inc(int(np.count_nonzero(op == OC_SYSCALL)))
+    ns.counter("instructions").inc(counts["instructions"])
+    ns.counter("loads").inc(counts["loads"])
+    ns.counter("stores").inc(counts["stores"])
+    ns.counter("branches").inc(counts["branches"])
+    ns.counter("syscalls").inc(counts["syscalls"])
     region_ns = ns.scoped("region")
-    region_ns.counter("data").inc(int(regions[REGION_DATA]))
-    region_ns.counter("heap").inc(int(regions[REGION_HEAP]))
-    region_ns.counter("stack").inc(int(regions[REGION_STACK]))
+    region_ns.counter("data").inc(counts["region_data"])
+    region_ns.counter("heap").inc(counts["region_heap"])
+    region_ns.counter("stack").inc(counts["region_stack"])
 
 
 # -- trace acquisition --------------------------------------------------
@@ -340,26 +335,6 @@ def _ensure_columns(trace: Trace) -> None:
     with spans.span("trace:columnar"):
         trace.columns
     _stages.cache_io += time.perf_counter() - started
-
-
-def _publish_manifest_metrics(trace: ShardedTrace) -> None:
-    """Publish the ``cpu.*`` instruction/region mix from the shard
-    manifest's per-shard tallies - zero shard I/O, byte-identical to
-    :func:`_publish_trace_metrics` over the materialised columns."""
-    registry = metrics.active()
-    if not registry.enabled:
-        return
-    counts = trace.counts()
-    ns = registry.scoped("cpu")
-    ns.counter("instructions").inc(counts["instructions"])
-    ns.counter("loads").inc(counts["loads"])
-    ns.counter("stores").inc(counts["stores"])
-    ns.counter("branches").inc(counts["branches"])
-    ns.counter("syscalls").inc(counts["syscalls"])
-    region_ns = ns.scoped("region")
-    region_ns.counter("data").inc(counts["region_data"])
-    region_ns.counter("heap").inc(counts["region_heap"])
-    region_ns.counter("stack").inc(counts["region_stack"])
 
 
 def _open_sharded(name: str, scale: float) -> ShardedTrace:
@@ -392,9 +367,10 @@ def trace_handle(name: str, scale: float):
     through the active trace cache, memory-chunked otherwise - whose
     chunks stream through the reductions without ever materialising
     the whole trace.  With sharding off it is the plain in-RAM
-    :class:`Trace` from :func:`trace_for`.  Either way the workload's
-    ``cpu.*`` metrics are published exactly once (from the shard
-    manifest's tallies in the sharded case - no shard I/O).
+    :class:`Trace` from :func:`trace_for`, a single chunk.  Either way
+    the workload's ``cpu.*`` metrics are published exactly once, from
+    ``trace.counts()`` (the manifest's tallies when sharded - no shard
+    I/O).
     """
     if not shards.sharding_enabled():
         return trace_for(name, scale)
@@ -410,7 +386,7 @@ def trace_handle(name: str, scale: float):
             sp.set("cache", "corrupt")
         else:
             sp.set("cache", "miss")
-        _publish_manifest_metrics(trace)
+        _publish_trace_metrics(trace)
         return trace
 
 
@@ -872,11 +848,23 @@ def _combine_cell(name: str, scale: float, combine_worker: Callable,
     return combine_worker(name, scale, partials[name], *args)
 
 
+def _chunked_cell(name: str, scale: float, shard_worker: Callable,
+                  combine_worker: Callable, *args) -> object:
+    """One-cell form of the fan-out: map ``shard_worker`` over the
+    workload's ``chunks()`` in order, then fold with ``combine_worker``
+    (an in-RAM trace is a single chunk)."""
+    trace = trace_handle(name, scale)
+    try:
+        partials = [shard_worker(name, scale, chunk, index, *args)
+                    for index, chunk in enumerate(trace.chunks())]
+        return combine_worker(name, scale, partials, *args)
+    finally:
+        suite.evict(name, scale)
+
+
 def run_cells_sharded(shard_worker: Callable, combine_worker: Callable,
                       names: Sequence[str], scale: float, *args,
-                      jobs: Optional[int] = None,
-                      fallback: Optional[Callable] = None)\
-        -> List[object]:
+                      jobs: Optional[int] = None) -> List[object]:
     """Fan one experiment out over every ``(workload, shard)`` pair.
 
     Three passes, each through :func:`run_cells` (so retries, pool
@@ -896,17 +884,15 @@ def run_cells_sharded(shard_worker: Callable, combine_worker: Callable,
     partials are folded in shard order - so tables and metric exports
     match the unsharded run at any ``--jobs`` / ``--shard-rows``.
 
-    Requires sharding *and* a disk-backed trace cache (pool workers
-    read shards by path); otherwise every workload runs through
-    ``fallback`` (default ``combine_worker``-compatible monolithic
-    worker supplied by the driver) via plain :func:`run_cells`.
+    The fan-out needs sharding *and* a disk-backed trace cache (pool
+    workers read shards by path).  Without either, each workload runs
+    as one :func:`_chunked_cell` - the same two workers over the
+    trace's chunks in one cell.
     """
     if (not shards.sharding_enabled()
             or trace_cache.active_cache() is None):
-        if fallback is None:
-            raise ValueError("run_cells_sharded needs a fallback "
-                             "worker when sharding is unavailable")
-        return run_cells(fallback, names, scale, *args, jobs=jobs)
+        return run_cells(_chunked_cell, names, scale, shard_worker,
+                         combine_worker, *args, jobs=jobs)
     names = list(names)
     with spans.span("engine:fanout", cells=len(names)) as sp:
         counts = run_cells(_produce_cell, names, scale, jobs=jobs)

@@ -30,12 +30,11 @@ from repro.timing.config import MachineConfig, figure8_configs
 from repro.timing.machine import TimingResult, simulate
 from repro.trace.regions import (REGION_CLASSES, RegionBreakdown,
                                  breakdown_from_partial,
-                                 fold_pc_partials, pc_region_partial,
-                                 region_breakdown)
+                                 fold_pc_partials, pc_region_partial)
 from repro.trace.windows import (RegionWindowStats,
                                  combine_window_partials,
                                  stats_from_moments,
-                                 window_shard_partial, window_stats)
+                                 window_shard_partial)
 from repro.workloads import suite
 
 #: ARPT capacities evaluated in the paper's Figure 5 (None = unlimited),
@@ -69,8 +68,8 @@ def _workload_handle(name: str, scale: float):
     :class:`~repro.trace.shards.ShardedTrace` whose chunks stream
     through the region/window/predictor reductions one shard at a time
     - peak RSS stays bounded by the shard size, not the trace length.
-    With sharding off it degrades to the plain in-RAM trace.  Every
-    reduction taking a handle is byte-identical across both forms.
+    With sharding off it is the plain in-RAM trace, a single chunk.
+    Every reduction folds over ``chunks()``, so both forms agree.
     """
     trace = engine.trace_handle(name, scale)
     try:
@@ -198,13 +197,8 @@ class Figure2Result(_TableResult):
                 "region(s)")
 
 
-def _figure2_cell(name: str, scale: float) -> RegionBreakdown:
-    with _workload_handle(name, scale) as trace:
-        return region_breakdown(trace)
-
-
 def _figure2_shard(name: str, scale: float, chunk, index: int):
-    """Per-shard Figure-2 partial: bounded per-PC region masks."""
+    """Per-chunk Figure-2 partial: bounded per-PC region masks."""
     return pc_region_partial(chunk)
 
 
@@ -219,15 +213,14 @@ def figure2(scale: float = 1.0,
             jobs: Optional[int] = None) -> ExperimentResult:
     """F2: static memory instructions by accessed region(s).
 
-    With sharding enabled and a trace cache active, fans out over
-    every ``(workload, shard)`` pair - each shard's per-PC partial is
-    computed in its own cell and the bounded partials fold in shard
-    order, byte-identical to the monolithic reduction.
+    Per-chunk per-PC partials folded in chunk order.  With sharding
+    enabled and a trace cache active, each ``(workload, shard)`` partial
+    is computed in its own cell; otherwise one cell per workload folds
+    its chunks (a single chunk when sharding is off).
     """
     return _result("figure2", Figure2Result(
         breakdowns=engine.run_cells_sharded(
-            _figure2_shard, _figure2_combine, names, scale, jobs=jobs,
-            fallback=_figure2_cell)))
+            _figure2_shard, _figure2_combine, names, scale, jobs=jobs)))
 
 
 # ----------------------------------------------------------------------
@@ -260,15 +253,8 @@ class Table2Result(_TableResult):
 _TABLE2_WINDOWS = (32, 64)
 
 
-def _table2_cell(name: str, scale: float)\
-        -> Tuple[RegionWindowStats, RegionWindowStats]:
-    with _workload_handle(name, scale) as trace:
-        return tuple(window_stats(trace, window)
-                     for window in _TABLE2_WINDOWS)
-
-
 def _table2_shard(name: str, scale: float, chunk, index: int):
-    """Per-shard Table-2 partials (inner moments + boundary edges)."""
+    """Per-chunk Table-2 partials (inner moments + boundary edges)."""
     return tuple(window_shard_partial(chunk, window)
                  for window in _TABLE2_WINDOWS)
 
@@ -288,16 +274,15 @@ def table2(scale: float = 1.0,
            jobs: Optional[int] = None) -> ExperimentResult:
     """T2: per-region bandwidth and burstiness in sliding windows.
 
-    Fans out over ``(workload, shard)`` when sharding is enabled: each
-    shard contributes exact inner moments plus its boundary edges, the
-    combine step reconstructs every window straddling a shard boundary,
-    and the folded moments (and the published ``trace.window<W>.*``
-    time-series) match the monolithic pass bit for bit.
+    Each chunk contributes exact inner moments plus its boundary edges
+    and the combine step reconstructs every window straddling a chunk
+    boundary, so the folded moments (and the published
+    ``trace.window<W>.*`` time-series) do not depend on the chunking.
+    Fans out over ``(workload, shard)`` like :func:`figure2`.
     """
     return _result("table2", Table2Result(
         stats=engine.run_cells_sharded(
-            _table2_shard, _table2_combine, names, scale, jobs=jobs,
-            fallback=_table2_cell)))
+            _table2_shard, _table2_combine, names, scale, jobs=jobs)))
 
 
 # ----------------------------------------------------------------------

@@ -8,40 +8,42 @@ verified region afterwards.  Produces the numbers behind the paper's
 Figure 4 (accuracy per scheme), Table 3 (table occupancy per context),
 and Figure 5 (accuracy vs. table size, with and without compiler hints).
 
-The replay runs on the columnar trace view.  References covered by the
-definitive addressing-mode rules 1-3 - the overwhelming majority - are
-scored entirely in NumPy; per-reference context values (global branch
-history via a convolution over the branch-outcome array, caller id from
-the link-register column) are likewise precomputed vectorised.  For
-rule-4 references, the 1-bit ARPT replay is exact in NumPy too (a
-tagless 1-bit entry predicts the *previous* outcome observed at its
-index, which one stable sort per table exposes as a grouped shift).
-The 2-bit hysteresis ablation is vectorised as well: a saturating
-counter is the composition of clamp-add steps, and such compositions
-form a closed monoid (``f(x) = min(hi, max(lo, x + a))``), so one
-segmented Hillis-Steele scan over per-index groups replays every
-counter in ``O(n log L)`` array operations (L = longest per-index run;
-see :func:`_replay_table`).  ``evaluate_scheme_scalar`` is the
-retained record-at-a-time reference implementation the equivalence
-tests pin the fast path against.
+There is one replay, a fold over ``trace.chunks()`` (an in-RAM trace
+is a single chunk; a sharded trace streams shard by shard).  Per chunk,
+references covered by the definitive addressing-mode rules 1-3 - the
+overwhelming majority - are scored entirely in NumPy; per-reference
+context values (global branch history via a convolution over the
+branch-outcome array, caller id from the link-register column) are
+likewise precomputed vectorised.  For rule-4 references, the 1-bit
+ARPT replay is exact in NumPy too (a tagless 1-bit entry predicts the
+*previous* outcome observed at its index, which one stable sort per
+table exposes as a grouped shift).  The 2-bit hysteresis ablation is
+vectorised as well: a saturating counter is the composition of
+clamp-add steps, and such compositions form a closed monoid
+(``f(x) = min(hi, max(lo, x + a))``), so one segmented Hillis-Steele
+scan over per-index groups replays every counter in ``O(n log L)``
+array operations (L = longest per-index run; see
+:func:`_counter_states`).  The only state carried between chunks is
+the branch-history tail and the ARPT entries, so results do not
+depend on the chunk size.  The equivalence tests pin the replay to a
+record-at-a-time reference that walks the live ARPT/ContextTracker
+structures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import metrics
 from repro.obs import spans
-from repro.predictor.arpt import ARPT, PC_SHIFT
-from repro.predictor.contexts import CONTEXT_KINDS, ContextTracker, \
-    context_function
+from repro.predictor.arpt import PC_SHIFT
+from repro.predictor.contexts import CONTEXT_KINDS
 from repro.predictor.hints import CompilerHints
 from repro.predictor.schemes import Scheme, scheme_by_name
-from repro.predictor.static_rules import mode_is_definitive, \
-    static_predicts_stack
 from repro.trace.records import (MODE_CONSTANT, MODE_GLOBAL, MODE_STACK,
                                  OC_BRANCH, REGION_STACK, Trace)
 
@@ -74,25 +76,21 @@ class PredictionResult:
         """Fraction of references whose mode manifests the region."""
         return self.definitive / max(1, self.total)
 
-    @property
-    def table_accuracy(self) -> float:
-        return self.table_correct / max(1, self.table_predictions)
-
 
 class _ReplayPrepass:
     """Context-independent arrays shared by every scheme replay.
 
-    Built once per (trace, gbh_bits, cid_bits): the memory-reference
+    Built once per (chunk, gbh_bits, cid_bits): the memory-reference
     subsequence with its actual regions, the rules-1-3 definitive
     tallies, and the per-reference GBH/CID context values.  Evaluating
     several schemes - or `occupancy_by_context`'s four probes - on the
-    same trace only repeats the (cheap) rule-4 table replay.
+    same chunk only repeats the (cheap) rule-4 table replay.
 
-    The sharded replay builds one prepass per chunk, threading the
-    *branch-outcome carry* through: ``gbh_carry`` holds the last
-    ``min(gbh_bits, branches so far)`` outcomes, which fully determine
-    the global-history register at the chunk boundary, and
-    ``branch_tail`` is the carry to hand to the next chunk.
+    Consecutive chunks thread the *branch-outcome carry* through:
+    ``gbh_carry`` holds the last ``min(gbh_bits, branches so far)``
+    outcomes, which fully determine the global-history register at the
+    chunk boundary, and ``branch_tail`` is the carry to hand to the
+    next chunk.
     """
 
     __slots__ = ("pc", "actual", "mode_unknown", "gbh", "cid",
@@ -191,8 +189,7 @@ def _validate_table_size(table_size: Optional[int]) -> None:
         raise ValueError("ARPT size must be a power of two")
 
 
-def _counter_states(first: np.ndarray, d: np.ndarray,
-                    seed: Optional[np.ndarray] = None)\
+def _counter_states(first: np.ndarray, d: np.ndarray, seed: np.ndarray)\
         -> Tuple[np.ndarray, np.ndarray]:
     """Saturating-counter states around each access, per sorted group.
 
@@ -201,10 +198,10 @@ def _counter_states(first: np.ndarray, d: np.ndarray,
     index-sorted reference stream; ``d`` is the per-access counter
     increment (+1 stack, -1 non-stack).  Each group replays
     ``c = clip(c + d, 0, 3)`` from its ``seed`` entry (one value per
-    group in start order; cold 0 when omitted) - the shard replay seeds
-    each group with the entry state carried from earlier shards.  A
-    clamp-add step is ``f(x) = min(hi, max(lo, x + a))`` and the
-    composition of two such functions is again one (apply ``f`` then
+    group in start order: the state carried from earlier chunks, 0 for
+    a cold entry).  A clamp-add step is
+    ``f(x) = min(hi, max(lo, x + a))`` and the composition of two such
+    functions is again one (apply ``f`` then
     ``g``: ``a' = a_f + a_g``, ``lo' = clip(lo_f + a_g, lo_g, hi_g)``,
     ``hi' = clip(hi_f + a_g, lo_g, hi_g)``), so the per-group inclusive
     prefix compositions fall out of a segmented Hillis-Steele doubling
@@ -266,97 +263,27 @@ def _counter_states(first: np.ndarray, d: np.ndarray,
     # the scanned lo/hi bounds are seed-independent); the predicting
     # state is the previous access's, and group firsts read the seed.
     within = cum - np.repeat(cum[starts] - d[starts], runs)
-    if seed is None:
-        after = np.clip(within, lo, hi)
-        before = np.empty(n, dtype=np.int32)
-        before[0] = 0
-        before[1:] = after[:-1]
-        before[first] = 0
-    else:
-        seeds = np.asarray(seed, dtype=np.int32)
-        after = np.clip(np.repeat(seeds, runs) + within, lo, hi)
-        before = np.empty(n, dtype=np.int32)
-        if n:
-            before[0] = 0
-            before[1:] = after[:-1]
-            before[starts] = seeds
+    seeds = np.asarray(seed, dtype=np.int32)
+    after = np.clip(np.repeat(seeds, runs) + within, lo, hi)
+    before = np.empty(n, dtype=np.int32)
+    before[1:] = after[:-1]
+    before[starts] = seeds
     return before, after
 
 
-def _replay_table(index: np.ndarray, actual: np.ndarray, bits: int,
-                  table_size: Optional[int]) -> Tuple[int, int]:
-    """Replay rule-4 references through a tagless ARPT.
-
-    Returns ``(table_correct, occupancy)``.  Both entry widths replay
-    fully vectorised after one stable sort by table index: the 1-bit
-    table predicts the previous actual within each group (a grouped
-    shift; first access reads the cold "non-stack" entry), and the
-    2-bit saturating-counter ablation replays through the segmented
-    clamp-add scan in :func:`_counter_states`.
-    ``_replay_table_scalar`` is the retained dict-loop reference the
-    equivalence tests pin this path against.
-    """
-    _validate_table_size(table_size)
-    if table_size is not None:
-        index = index & (table_size - 1)
-    n = len(index)
-    if n == 0:
-        return 0, 0
-    order = np.argsort(index, kind="stable")
-    sorted_actual = actual[order]
-    first = np.empty(n, dtype=np.bool_)
-    first[0] = True
-    sorted_index = index[order]
-    np.not_equal(sorted_index[1:], sorted_index[:-1], out=first[1:])
-    if bits == 1:
-        prediction = np.empty(n, dtype=np.bool_)
-        prediction[0] = False
-        prediction[1:] = sorted_actual[:-1]
-        prediction[first] = False  # cold entries predict non-stack
-    else:
-        d = np.where(sorted_actual, np.int32(1), np.int32(-1))
-        prediction = _counter_states(first, d)[0] >= 2
-    correct = int(np.count_nonzero(prediction == sorted_actual))
-    return correct, int(np.count_nonzero(first))
-
-
-def _replay_table_scalar(index: np.ndarray, actual: np.ndarray,
-                         bits: int, table_size: Optional[int])\
-        -> Tuple[int, int]:
-    """Dict-loop reference for :func:`_replay_table` (tests only)."""
-    _validate_table_size(table_size)
-    if table_size is not None:
-        index = index & (table_size - 1)
-    entries: Dict[int, int] = {}
-    correct = 0
-    if bits == 1:
-        for idx, is_stack in zip(index.tolist(), actual.tolist()):
-            if (entries.get(idx, 0) == 1) == is_stack:
-                correct += 1
-            entries[idx] = 1 if is_stack else 0
-        return correct, len(entries)
-    for idx, is_stack in zip(index.tolist(), actual.tolist()):
-        counter = entries.get(idx, 0)
-        if (counter >= 2) == is_stack:
-            correct += 1
-        if is_stack:
-            entries[idx] = min(3, counter + 1)
-        else:
-            entries[idx] = max(0, counter - 1)
-    return correct, len(entries)
-
-
 class _TableReplayState:
-    """Cross-shard carry for the tagless-ARPT replay.
+    """Tagless-ARPT replay, carried across chunks.
 
     Holds one entry state per table index written so far (the 1-bit
     last outcome or the 2-bit counter value) - the *entire* hardware
-    state of the table, so feeding shards through :meth:`observe` in
-    trace order replays exactly the sequence a whole-trace
-    :func:`_replay_table` would.  Each shard still replays vectorised:
-    one stable sort, then per-group seeds drawn from the carried
-    entries (the grouped-shift / segmented-scan maths is unchanged -
-    only the cold state of each group differs).
+    state of the table, so feeding chunks through :meth:`observe` in
+    trace order replays exactly the whole-trace reference sequence.
+    Each chunk replays vectorised after one stable sort by table
+    index: the 1-bit table predicts the previous actual within each
+    group (a grouped shift), the 2-bit counters replay through the
+    segmented clamp-add scan in :func:`_counter_states`, and each
+    group's first access reads the carried entry (0, "non-stack", when
+    cold).
     """
 
     __slots__ = ("bits", "table_size", "entries", "correct")
@@ -383,25 +310,19 @@ class _TableReplayState:
         starts = np.flatnonzero(first)
         ends = np.append(starts[1:], n) - 1
         keys = sorted_index[starts].tolist()
-        entries = self.entries
+        carried = np.fromiter(map(self.entries.get, keys, repeat(0)),
+                              dtype=np.int32, count=len(keys))
         if self.bits == 1:
             prediction = np.empty(n, dtype=np.bool_)
-            prediction[0] = False
             prediction[1:] = sorted_actual[:-1]
-            prediction[starts] = np.fromiter(
-                (entries.get(k, 0) == 1 for k in keys),
-                dtype=np.bool_, count=len(keys))
-            final = sorted_actual[ends].tolist()
-            for key, value in zip(keys, final):
-                entries[key] = 1 if value else 0
+            prediction[starts] = carried == 1
+            final = sorted_actual[ends].astype(np.int32)
         else:
             d = np.where(sorted_actual, np.int32(1), np.int32(-1))
-            seeds = np.fromiter((entries.get(k, 0) for k in keys),
-                                dtype=np.int32, count=len(keys))
-            before, after = _counter_states(first, d, seeds)
+            before, after = _counter_states(first, d, carried)
             prediction = before >= 2
-            for key, value in zip(keys, after[ends].tolist()):
-                entries[key] = value
+            final = after[ends]
+        self.entries.update(zip(keys, final.tolist()))
         self.correct += int(np.count_nonzero(
             prediction == sorted_actual))
 
@@ -411,12 +332,12 @@ class _TableReplayState:
 
 
 class _SchemeReplay:
-    """One scheme's streaming evaluation, folded shard by shard.
+    """One scheme's evaluation, folded chunk by chunk.
 
     Scalar tallies (definitive, hinted, static rule-4) are plain sums;
-    the only genuine cross-shard state is the ARPT contents, carried in
-    :class:`_TableReplayState`.  After the last shard, :meth:`result`
-    matches the in-RAM :func:`evaluate_scheme` field for field.
+    the only genuine cross-chunk state is the ARPT contents, carried in
+    :class:`_TableReplayState`.  After the last chunk, :meth:`result`
+    is the scheme's :class:`PredictionResult`.
     """
 
     __slots__ = ("scheme", "table_size", "hints", "total", "definitive",
@@ -454,6 +375,7 @@ class _SchemeReplay:
             self.table.observe(index, actual[remaining])
             self.table_predictions += int(np.count_nonzero(remaining))
         else:
+            # Static heuristic #4: predict non-stack.
             self.rule4_static_correct += int(np.count_nonzero(
                 remaining & ~actual))
 
@@ -479,9 +401,8 @@ class _SchemeReplay:
         )
 
 
-def _replay_sharded(trace, replays, gbh_bits: int,
-                    cid_bits: int) -> None:
-    """Stream a sharded trace once through several scheme replays."""
+def _replay(trace, replays, gbh_bits: int, cid_bits: int) -> None:
+    """Stream ``trace.chunks()`` once through several scheme replays."""
     carry: Optional[np.ndarray] = None
     for chunk in trace.chunks():
         prepass = _ReplayPrepass(chunk, gbh_bits, cid_bits,
@@ -489,51 +410,6 @@ def _replay_sharded(trace, replays, gbh_bits: int,
         carry = prepass.branch_tail
         for replay in replays:
             replay.observe(prepass)
-
-
-def _evaluate_prepassed(prepass: _ReplayPrepass, scheme: Scheme,
-                        trace_name: str, table_size: Optional[int],
-                        hints: Optional[CompilerHints],
-                        gbh_bits: int, cid_bits: int) -> PredictionResult:
-    """Score one scheme against an existing prepass."""
-    unknown = prepass.mode_unknown
-    pc = prepass.pc[unknown]
-    actual = prepass.actual[unknown]
-    tags = _hint_tags_for(pc, hints)
-
-    hinted_mask = tags >= 0
-    hinted = int(np.count_nonzero(hinted_mask))
-    hinted_correct = int(np.count_nonzero(
-        hinted_mask & ((tags == 1) == actual)))
-
-    remaining = ~hinted_mask
-    if scheme.uses_table:
-        context = prepass.context(scheme.context)[unknown][remaining]
-        index = (pc[remaining] >> PC_SHIFT) ^ context
-        table_correct, occupancy = _replay_table(
-            index, actual[remaining], scheme.bits, table_size)
-        table_predictions = int(np.count_nonzero(remaining))
-        rule4_correct = table_correct
-    else:
-        # Static heuristic #4: predict non-stack.
-        table_predictions = table_correct = occupancy = 0
-        rule4_correct = int(np.count_nonzero(remaining & ~actual))
-
-    result = PredictionResult(
-        scheme=scheme.name,
-        trace_name=trace_name,
-        total=prepass.total,
-        correct=prepass.definitive_correct + hinted_correct + rule4_correct,
-        definitive=prepass.definitive,
-        definitive_correct=prepass.definitive_correct,
-        table_predictions=table_predictions,
-        table_correct=table_correct,
-        hinted=hinted,
-        occupancy=occupancy,
-        table_size=table_size,
-    )
-    _publish_metrics(result, hints is not None, gbh_bits, cid_bits)
-    return result
 
 
 def evaluate_scheme(trace: Trace, scheme,
@@ -548,109 +424,23 @@ def evaluate_scheme(trace: Trace, scheme,
     instructions bypass the predictor (and are correct by construction,
     matching the paper's idealised-compiler methodology).
 
-    ``trace`` may also be a :class:`~repro.trace.shards.ShardedTrace`:
-    the replay then streams shard by shard, carrying the branch-outcome
-    history and the full ARPT entry state across boundaries, and scores
-    byte-identically to the in-RAM replay at any shard size.
+    ``trace`` is anything with ``name`` and ``chunks()`` - an in-RAM
+    :class:`Trace` or a :class:`~repro.trace.shards.ShardedTrace`; the
+    replay carries the branch-outcome history and the full ARPT entry
+    state across chunk boundaries, so it scores identically at any
+    chunk size.
     """
-    from repro.trace.shards import ShardedTrace
     if isinstance(scheme, str):
         scheme = scheme_by_name(scheme)
     _validate_table_size(table_size)
     with spans.span("predict:replay", scheme=scheme.name,
                     workload=trace.name) as sp:
-        if isinstance(trace, ShardedTrace):
-            replay = _SchemeReplay(scheme, table_size, hints)
-            _replay_sharded(trace, (replay,), gbh_bits, cid_bits)
-            result = replay.result(trace.name)
-            _publish_metrics(result, hints is not None, gbh_bits,
-                             cid_bits)
-        else:
-            prepass = _ReplayPrepass(trace.columns, gbh_bits, cid_bits)
-            result = _evaluate_prepassed(prepass, scheme, trace.name,
-                                         table_size, hints, gbh_bits,
-                                         cid_bits)
+        replay = _SchemeReplay(scheme, table_size, hints)
+        _replay(trace, (replay,), gbh_bits, cid_bits)
+        result = replay.result(trace.name)
+        _publish_metrics(result, hints is not None, gbh_bits, cid_bits)
         sp.set("references", result.total)
         return result
-
-
-def evaluate_scheme_scalar(trace: Trace, scheme,
-                           table_size: Optional[int] = None,
-                           hints: Optional[CompilerHints] = None,
-                           gbh_bits: int = 8,
-                           cid_bits: int = 24) -> PredictionResult:
-    """Record-at-a-time reference implementation of
-    :func:`evaluate_scheme`.
-
-    Kept as the ground truth the vectorised replay is tested against
-    (it walks :class:`TraceRecord` objects through the live
-    :class:`ARPT`/:class:`ContextTracker` structures exactly as the
-    hardware would).  Does not publish metrics - use
-    :func:`evaluate_scheme` outside tests.
-    """
-    if isinstance(scheme, str):
-        scheme = scheme_by_name(scheme)
-    _validate_table_size(table_size)
-    tracker = ContextTracker(gbh_bits=gbh_bits, cid_bits=cid_bits)
-    table = ARPT(size=table_size, bits=scheme.bits) if scheme.uses_table \
-        else None
-    get_context = (context_function(tracker, scheme.context)
-                   if scheme.uses_table else None)
-    hint_tags = hints.tags if hints is not None else {}
-
-    total = correct = 0
-    definitive = definitive_correct = 0
-    table_predictions = table_correct = 0
-    hinted = 0
-
-    for record in trace.records:
-        if record.is_branch:
-            tracker.observe_branch(record.taken)
-            continue
-        if not record.is_mem:
-            continue
-        total += 1
-        actual = record.is_stack
-        mode = record.mode
-        if mode_is_definitive(mode):
-            prediction = static_predicts_stack(mode)
-            definitive += 1
-            if prediction == actual:
-                definitive_correct += 1
-                correct += 1
-            continue
-        # Rule-4 (unknown-mode) reference.
-        tag = hint_tags.get(record.pc)
-        if tag is not None:
-            hinted += 1
-            if tag == actual:
-                correct += 1
-            continue
-        if table is None:
-            prediction = False  # static heuristic #4: predict non-stack
-        else:
-            context = get_context(record)
-            prediction = table.predict_and_update(record.pc, context,
-                                                  actual)
-            table_predictions += 1
-            if prediction == actual:
-                table_correct += 1
-        if prediction == actual:
-            correct += 1
-
-    return PredictionResult(
-        scheme=scheme.name,
-        trace_name=trace.name,
-        total=total,
-        correct=correct,
-        definitive=definitive,
-        definitive_correct=definitive_correct,
-        table_predictions=table_predictions,
-        table_correct=table_correct,
-        hinted=hinted,
-        occupancy=table.occupancy if table is not None else 0,
-        table_size=table_size,
-    )
 
 
 def _publish_metrics(result: PredictionResult, hinted_run: bool,
@@ -689,33 +479,20 @@ def occupancy_by_context(trace: Trace,
 
     Reproduces the paper's Table 3: columns are PC-only indexing
     ("static" in the table's header), PC^GBH, PC^CID, and PC^hybrid.
-    The four probes share one prepass (memory subsequence, definitive
-    tallies, context arrays) instead of replaying the full trace four
-    times; each probe publishes the same ``predictor.probe-<context>``
-    metrics a standalone :func:`evaluate_scheme` call would.  A
-    :class:`~repro.trace.shards.ShardedTrace` is streamed once, all
-    four probes folding each chunk's shared prepass.
+    The trace streams once, all four probes folding each chunk's shared
+    prepass (memory subsequence, definitive tallies, context arrays);
+    each probe publishes the same ``predictor.probe-<context>`` metrics
+    a standalone :func:`evaluate_scheme` call would.
     """
-    from repro.trace.shards import ShardedTrace
     contexts = ("none", "gbh", "cid", "hybrid")
-    schemes = {context: Scheme(f"probe-{context}", uses_table=True,
-                               bits=1, context=context)
+    replays = {context: _SchemeReplay(
+                   Scheme(f"probe-{context}", uses_table=True, bits=1,
+                          context=context), None, None)
                for context in contexts}
+    _replay(trace, tuple(replays.values()), gbh_bits, cid_bits)
     results = {}
-    if isinstance(trace, ShardedTrace):
-        replays = {context: _SchemeReplay(schemes[context], None, None)
-                   for context in contexts}
-        _replay_sharded(trace, tuple(replays.values()), gbh_bits,
-                        cid_bits)
-        for context in contexts:
-            outcome = replays[context].result(trace.name)
-            _publish_metrics(outcome, False, gbh_bits, cid_bits)
-            results[context] = outcome.occupancy
-        return results
-    prepass = _ReplayPrepass(trace.columns, gbh_bits, cid_bits)
     for context in contexts:
-        outcome = _evaluate_prepassed(prepass, schemes[context],
-                                      trace.name, None, None, gbh_bits,
-                                      cid_bits)
+        outcome = replays[context].result(trace.name)
+        _publish_metrics(outcome, False, gbh_bits, cid_bits)
         results[context] = outcome.occupancy
     return results

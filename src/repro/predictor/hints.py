@@ -28,18 +28,12 @@ class CompilerHints:
         """Tag for a PC: True/False, or None when the compiler punts."""
         return self.tags.get(pc)
 
-    @property
-    def tagged_count(self) -> int:
-        return len(self.tags)
-
 
 def hints_from_trace(trace: Trace) -> CompilerHints:
     """Build the idealised (profile-derived) compiler hints for a trace.
 
-    Uses the vectorised per-PC region grouping over the trace's
-    columnar view; equivalent to streaming the records through
-    :class:`~repro.trace.regions.RegionClassifier` and calling its
-    ``single_region_pcs``.
+    Uses the vectorised per-PC region grouping folded over the trace's
+    column chunks (:func:`~repro.trace.regions.single_region_pcs`).
     """
     return CompilerHints(tags=single_region_pcs(trace))
 

@@ -32,7 +32,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.trace.records import (OC_LOAD, OC_STORE, TraceRecord)
+from repro.trace.records import (OC_BRANCH, OC_LOAD, OC_STORE,
+                                 OC_SYSCALL, REGION_DATA, REGION_HEAP,
+                                 REGION_STACK, TraceRecord)
 
 #: ``(field, dtype)`` for every TraceRecord column except ``value``,
 #: in the positional order of ``TraceRecord.__init__``.
@@ -50,6 +52,11 @@ COLUMN_DTYPES: Tuple[Tuple[str, type], ...] = (
 )
 
 _FIELDS = tuple(name for name, _ in COLUMN_DTYPES)
+
+#: Aggregate tallies of :meth:`ColumnarTrace.counts`: what a shard
+#: manifest keeps per shard and what the engine publishes as ``cpu.*``.
+COUNT_FIELDS = ("instructions", "loads", "stores", "branches",
+                "syscalls", "region_data", "region_heap", "region_stack")
 
 
 def _publish_conversion(kind: str, count: int) -> None:
@@ -179,3 +186,22 @@ class ColumnarTrace:
         """Boolean mask selecting load/store rows."""
         op = self.op_class
         return (op == OC_LOAD) | (op == OC_STORE)
+
+    def counts(self) -> dict:
+        """Instruction, op-class, and region tallies (:data:`COUNT_FIELDS`).
+
+        Regions are tallied over memory operations only, matching the
+        ``cpu.region.*`` metric definitions.
+        """
+        op = self.op_class
+        region = self.region[(op == OC_LOAD) | (op == OC_STORE)]
+        return {
+            "instructions": len(self),
+            "loads": int(np.count_nonzero(op == OC_LOAD)),
+            "stores": int(np.count_nonzero(op == OC_STORE)),
+            "branches": int(np.count_nonzero(op == OC_BRANCH)),
+            "syscalls": int(np.count_nonzero(op == OC_SYSCALL)),
+            "region_data": int(np.count_nonzero(region == REGION_DATA)),
+            "region_heap": int(np.count_nonzero(region == REGION_HEAP)),
+            "region_stack": int(np.count_nonzero(region == REGION_STACK)),
+        }

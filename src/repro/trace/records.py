@@ -155,10 +155,16 @@ class Trace:
     ``load_trace`` and the functional simulator construct traces
     column-first, so the profiling experiments never allocate a record
     object at all.
+
+    Like :class:`~repro.trace.shards.ShardedTrace`, a trace is a
+    sequence of column chunks: :meth:`chunks` yields the whole columnar
+    view as its one chunk and :meth:`counts` returns the tallies a
+    shard manifest would hold, so every reduction is written once, as
+    a fold over chunks.
     """
 
     __slots__ = ("name", "output", "exit_code", "_records", "_columns",
-                 "_load_count", "_store_count", "_memory_records")
+                 "_counts", "_memory_records")
 
     def __init__(self, name: str,
                  records: Optional[List[TraceRecord]] = None,
@@ -172,8 +178,7 @@ class Trace:
         self._columns = columns
         self.output = output if output is not None else []
         self.exit_code = exit_code
-        self._load_count: Optional[int] = None
-        self._store_count: Optional[int] = None
+        self._counts: Optional[dict] = None
         self._memory_records: Optional[List[TraceRecord]] = None
 
     @property
@@ -203,6 +208,17 @@ class Trace:
         """Whether record objects are already materialised."""
         return self._records is not None
 
+    def chunks(self) -> Iterator["ColumnarTrace"]:
+        """Yield the columnar view as the trace's single chunk."""
+        yield self.columns
+
+    def counts(self) -> dict:
+        """Instruction, op-class, and region tallies (see
+        :data:`~repro.trace.columns.COUNT_FIELDS`), computed once."""
+        if self._counts is None:
+            self._counts = self.columns.counts()
+        return self._counts
+
     def __len__(self) -> int:
         if self._records is not None:
             return len(self._records)
@@ -217,24 +233,12 @@ class Trace:
                 f"backing={backing})")
 
     @property
-    def instruction_count(self) -> int:
-        return len(self)
-
-    @property
     def load_count(self) -> int:
-        if self._load_count is None:
-            import numpy as np
-            self._load_count = int(np.count_nonzero(
-                self.columns.op_class == OC_LOAD))
-        return self._load_count
+        return self.counts()["loads"]
 
     @property
     def store_count(self) -> int:
-        if self._store_count is None:
-            import numpy as np
-            self._store_count = int(np.count_nonzero(
-                self.columns.op_class == OC_STORE))
-        return self._store_count
+        return self.counts()["stores"]
 
     @property
     def memory_records(self) -> List[TraceRecord]:

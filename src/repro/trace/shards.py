@@ -1,29 +1,34 @@
 """Out-of-core sharded traces: bounded column chunks + a manifest.
 
-A :class:`ShardedTrace` stores one dynamic trace as a sequence of
+Every trace is a sequence of column chunks.  An in-RAM
+:class:`~repro.trace.records.Trace` is one chunk; a
+:class:`ShardedTrace` stores one dynamic trace as a sequence of
 fixed-size column shards - each shard a compressed ``.npz`` holding the
 same structure-of-arrays layout as :mod:`repro.trace.serialize` (format
 v3) - plus a ``manifest.json`` carrying per-shard row counts, CRC-32
-checksums, and op-class/region tallies.  The shard is the native unit
-of storage, caching, and parallelism:
+checksums, and op-class/region tallies.  Both forms offer ``chunks()``
+and ``counts()``, so each reduction has exactly one implementation.
+The shard is the native unit of storage, caching, and parallelism:
 
 * the functional simulator *spills* its row buffer into a
   :class:`ShardWriter` every ``shard_rows`` retired instructions, so
   producing a ``--scale 100`` trace never holds more than one shard of
   rows in RAM;
-* consumers iterate :meth:`ShardedTrace.chunks` - one
-  :class:`ColumnarTrace` at a time, CRC-verified lazily on load - and
-  fold shard-local partials with explicit carry state (see
-  ``repro.trace.{regions,windows}`` and ``repro.predictor.evaluate``),
-  producing results byte-identical to the in-RAM columnar path;
+* consumers iterate ``chunks()`` - one :class:`ColumnarTrace` at a
+  time, CRC-verified lazily on load - and fold chunk-local partials
+  with explicit carry state (see ``repro.trace.{regions,windows}`` and
+  ``repro.predictor.evaluate``); the carry makes the result
+  independent of the chunk size, so a whole-trace chunk and any
+  sharding agree byte for byte;
 * the eval engine fans out over (cell x shard) so one experiment can
   use every core.
 
 Sharding is governed by one knob: ``--shard-rows N`` /
-``REPRO_SHARD_ROWS`` (0 or unset = off, everything stays monolithic).
-Aggregate tallies (instructions, loads, stores, branches, syscalls,
-per-region counts) live in the manifest, so Table 1 style summaries
-and the engine's ``cpu.*`` trace metrics need no shard I/O at all.
+``REPRO_SHARD_ROWS`` (0 or unset = off: each trace is one in-RAM
+chunk).  Aggregate tallies (instructions, loads, stores, branches,
+syscalls, per-region counts) live in the manifest, so Table 1 style
+summaries and the engine's ``cpu.*`` trace metrics need no shard I/O
+at all.
 
 Corruption handling mirrors the monolithic cache: a shard whose bytes
 do not match the manifest CRC raises
@@ -39,16 +44,14 @@ import os
 import warnings
 import zlib
 from pathlib import Path
-from typing import (Callable, Iterable, Iterator, List, Optional,
-                    Sequence, Union)
+from typing import (Callable, Iterator, List, Optional, Sequence,
+                    Union)
 
 import numpy as np
 
-from repro.trace.columns import (COLUMN_DTYPES, ColumnarTrace,
-                                 _publish_conversion)
-from repro.trace.records import (OC_BRANCH, OC_LOAD, OC_STORE,
-                                 OC_SYSCALL, REGION_DATA, REGION_HEAP,
-                                 REGION_STACK, Trace)
+from repro.trace.columns import (COLUMN_DTYPES, COUNT_FIELDS,
+                                 ColumnarTrace, _publish_conversion)
+from repro.trace.records import Trace
 from repro.trace.serialize import _NO_VALUE, TraceIntegrityError
 
 #: Sharded entries are format v3 (v2 is the monolithic single-file
@@ -63,13 +66,6 @@ ENV_VAR = "REPRO_SHARD_ROWS"
 
 #: Per-N sampling for ``trace:shard`` spans (1 = trace every shard).
 SPAN_SAMPLE_ENV_VAR = "REPRO_SPAN_SAMPLE"
-
-#: Aggregate tallies kept per shard in the manifest; summed they are
-#: exactly what ``engine._publish_trace_metrics`` derives from a
-#: monolithic trace's columns.
-COUNT_FIELDS = ("instructions", "loads", "stores", "branches",
-                "syscalls", "region_data", "region_heap", "region_stack")
-
 
 class ShardStats:
     """Process-level shard traffic counters (resilience reporting)."""
@@ -188,24 +184,6 @@ def _shard_checksum(payload: dict, rows: int) -> int:
     return crc & 0xFFFFFFFF
 
 
-def _shard_counts(chunk: ColumnarTrace) -> dict:
-    """Aggregate tallies for one shard (manifest bookkeeping)."""
-    op = chunk.op_class
-    # Regions are tallied over memory operations only, matching the
-    # engine's `cpu.region.*` metric definitions exactly.
-    region = chunk.region[(op == OC_LOAD) | (op == OC_STORE)]
-    return {
-        "instructions": len(chunk),
-        "loads": int(np.count_nonzero(op == OC_LOAD)),
-        "stores": int(np.count_nonzero(op == OC_STORE)),
-        "branches": int(np.count_nonzero(op == OC_BRANCH)),
-        "syscalls": int(np.count_nonzero(op == OC_SYSCALL)),
-        "region_data": int(np.count_nonzero(region == REGION_DATA)),
-        "region_heap": int(np.count_nonzero(region == REGION_HEAP)),
-        "region_stack": int(np.count_nonzero(region == REGION_STACK)),
-    }
-
-
 def _load_shard(path: Path, meta: dict) -> ColumnarTrace:
     """Read one shard file and verify it against its manifest entry."""
     try:
@@ -267,7 +245,7 @@ class _WriterBase:
             raise RuntimeError("shard writer already finished")
         if len(chunk) == 0:
             return
-        meta = {"rows": len(chunk), "counts": _shard_counts(chunk)}
+        meta = {"rows": len(chunk), "counts": chunk.counts()}
         self._store(len(self.shards), chunk, meta)
         self.shards.append(meta)
         self._total_rows += len(chunk)
@@ -399,12 +377,9 @@ class ShardedTrace:
     def num_shards(self) -> int:
         return len(self._shards)
 
-    @property
-    def instruction_count(self) -> int:
-        return self.total_rows
-
     def counts(self) -> dict:
-        """Summed per-shard tallies (see :data:`COUNT_FIELDS`)."""
+        """Summed per-shard tallies (see :data:`COUNT_FIELDS`) -
+        the same numbers ``Trace.counts`` derives from whole columns."""
         if self._counts is None:
             self._counts = {
                 field: sum(meta["counts"][field]
@@ -539,7 +514,8 @@ def simulate_sharded(name: str, scale: float, writer: _WriterBase)\
 
 def shard_trace(trace: Trace, shard_rows: int) -> ShardedTrace:
     """Re-chunk an in-RAM trace into a memory-backed sharded view
-    (array slices are zero-copy; used by tests and fallbacks)."""
+    (array slices are zero-copy; the equivalence tests use it to check
+    every reduction at several chunk sizes)."""
     writer = MemoryShardWriter(trace.name, shard_rows)
     columns = trace.columns
     from repro import metrics
@@ -552,10 +528,3 @@ def shard_trace(trace: Trace, shard_rows: int) -> ShardedTrace:
                 columns.value[start:stop],
                 columns.value_valid[start:stop]))
         return writer.finish(trace.output, trace.exit_code)
-
-
-def iter_chunks(trace) -> Iterable[ColumnarTrace]:
-    """Uniform chunk iteration over ``Trace`` or ``ShardedTrace``."""
-    if isinstance(trace, ShardedTrace):
-        return trace.chunks()
-    return iter((trace.columns,))

@@ -6,18 +6,24 @@ each region's bandwidth demand over a W-wide instruction window (the
 processor's effective scheduling window); the standard deviation measures
 burstiness.  The paper calls accesses *strictly bursty* when the standard
 deviation exceeds the mean.
+
+There is one reduction: :func:`window_shard_partial` computes a column
+chunk's inner moments plus its boundary edges, and
+:func:`combine_window_partials` folds ordered partials, rebuilding every
+window that straddles a chunk boundary.  An in-RAM trace is a single
+chunk, a sharded trace streams shard by shard, and the engine's
+(cell x shard) fan-out runs the same two functions in separate cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.trace.records import (REGION_DATA, REGION_HEAP, REGION_STACK,
-                                 Trace, TraceRecord)
+from repro.trace.records import REGION_DATA, REGION_HEAP, REGION_STACK
 
 REGION_NAMES = {REGION_DATA: "data", REGION_HEAP: "heap",
                 REGION_STACK: "stack"}
@@ -47,69 +53,6 @@ class RegionWindowStats:
     heap: WindowStats
     stack: WindowStats
 
-    def stats_for(self, region_code: int) -> WindowStats:
-        return {REGION_DATA: self.data, REGION_HEAP: self.heap,
-                REGION_STACK: self.stack}[region_code]
-
-
-class SlidingWindowProfiler:
-    """O(N) streaming computation of the per-region window statistics."""
-
-    def __init__(self, window: int) -> None:
-        if window <= 0:
-            raise ValueError("window size must be positive")
-        self.window = window
-        # Ring buffer of region codes (-1 for non-memory instructions).
-        self._ring = [-1] * window
-        self._fill = 0
-        self._pos = 0
-        self._counts = {REGION_DATA: 0, REGION_HEAP: 0, REGION_STACK: 0}
-        self._sums = {REGION_DATA: 0, REGION_HEAP: 0, REGION_STACK: 0}
-        self._sumsq = {REGION_DATA: 0, REGION_HEAP: 0, REGION_STACK: 0}
-        self._samples = 0
-
-    def observe(self, record: TraceRecord) -> None:
-        ring = self._ring
-        window = self.window
-        counts = self._counts
-        if self._fill == window:
-            old = ring[self._pos]
-            if old >= 0:
-                counts[old] -= 1
-        else:
-            self._fill += 1
-        region = record.region if record.is_mem else -1
-        ring[self._pos] = region
-        if region >= 0:
-            counts[region] += 1
-        self._pos = (self._pos + 1) % window
-        if self._fill == window:
-            self._samples += 1
-            for code in (REGION_DATA, REGION_HEAP, REGION_STACK):
-                count = counts[code]
-                self._sums[code] += count
-                self._sumsq[code] += count * count
-
-    def observe_trace(self, records: Iterable[TraceRecord]) -> None:
-        for record in records:
-            self.observe(record)
-
-    def _stats(self, code: int) -> WindowStats:
-        n = self._samples
-        if n == 0:
-            return WindowStats(mean=0.0, std=0.0, samples=0)
-        mean = self._sums[code] / n
-        variance = max(0.0, self._sumsq[code] / n - mean * mean)
-        return WindowStats(mean=mean, std=math.sqrt(variance), samples=n)
-
-    def result(self, name: str = "") -> RegionWindowStats:
-        return RegionWindowStats(
-            name=name, window=self.window,
-            data=self._stats(REGION_DATA),
-            heap=self._stats(REGION_HEAP),
-            stack=self._stats(REGION_STACK),
-        )
-
 
 def _mapped_region(columns) -> np.ndarray:
     """Region codes with non-memory rows mapped to -1 (int64)."""
@@ -125,8 +68,7 @@ def _moments_of_ext(ext: np.ndarray, window: int)\
     indicator array ``x``, the count of region references in the window
     ending at instruction ``i`` (i >= window-1) is
     ``csum[i+1] - csum[i+1-window]``.  Exact integer arithmetic, so the
-    moments match :class:`SlidingWindowProfiler` (the retained scalar
-    reference) bit for bit.
+    moments match a record-at-a-time ring-buffer profiler bit for bit.
     """
     samples = max(0, len(ext) - window + 1)
     sums: Dict[int, int] = {}
@@ -157,41 +99,15 @@ def _empty_moments():
     return [0, dict(zeros), dict(zeros)]
 
 
-def _window_moments(trace, window: int)\
-        -> Tuple[int, Dict[int, int], Dict[int, int]]:
-    """``(samples, sums, sumsq)`` for a ``Trace`` or ``ShardedTrace``.
-
-    The sharded path streams chunk-by-chunk with a *window remainder*
-    carry: each chunk is prepended with the last ``min(window-1, rows
-    so far)`` region codes, so every window that ends inside the chunk
-    - including those straddling the shard boundary - is counted
-    exactly once.  All moments are exact integers, making the fold
-    byte-identical to the one-pass result at any shard size.
-    """
-    if window <= 0:
-        raise ValueError("window size must be positive")
-    from repro.trace.shards import ShardedTrace
-    if not isinstance(trace, ShardedTrace):
-        return _moments_of_ext(_mapped_region(trace.columns), window)
-    acc = _empty_moments()
-    carry = np.zeros(0, dtype=np.int64)
-    for chunk in trace.chunks():
-        ext = np.concatenate((carry, _mapped_region(chunk)))
-        _add_moments(acc, _moments_of_ext(ext, window))
-        carry = ext[max(0, len(ext) - (window - 1)):] if window > 1 \
-            else ext[:0]
-    return acc[0], acc[1], acc[2]
-
-
 def window_shard_partial(columns, window: int) -> dict:
-    """Shard-local Table-2 partial for the (cell x shard) fan-out.
+    """Chunk-local Table-2 partial.
 
-    Covers the windows lying *fully inside* this shard, plus the first
+    Covers the windows lying *fully inside* this chunk, plus the first
     and last ``min(window-1, rows)`` mapped region codes.  The combine
     step (:func:`combine_window_partials`) reconstructs every
     boundary-straddling window from consecutive tails and heads - at
-    most ``window - 1`` codes each - so shard tasks never read their
-    neighbours.
+    most ``window - 1`` codes each - so a chunk never reads its
+    neighbours (the fan-out computes each in its own cell).
     """
     if window <= 0:
         raise ValueError("window size must be positive")
@@ -205,15 +121,16 @@ def window_shard_partial(columns, window: int) -> dict:
 
 def combine_window_partials(partials, window: int)\
         -> Tuple[int, Dict[int, int], Dict[int, int]]:
-    """Fold ordered per-shard partials into whole-trace moments.
+    """Fold ordered per-chunk partials into whole-trace moments.
 
-    Walks the shards in trace order keeping the window-remainder carry
-    (the last ``window - 1`` codes seen); each shard contributes its
+    Walks the chunks in trace order keeping the window-remainder carry
+    (the last ``window - 1`` codes seen); each chunk contributes its
     inner moments plus the boundary windows counted over
-    ``carry + head``.  Exact integers throughout - byte-identical to
-    the monolithic pass for every shard size, including shards smaller
-    than the window (where ``head == tail ==`` the whole shard, so the
-    carry remains complete).
+    ``carry + head``.  Exact integers throughout, so the moments are
+    the same for every chunk size, including chunks smaller than the
+    window (where ``head == tail ==`` the whole chunk, so the carry
+    remains complete).  ``partials`` may be a generator: only the
+    carry is held between chunks.
     """
     acc = _empty_moments()
     carry = np.zeros(0, dtype=np.int64)
@@ -232,8 +149,8 @@ def stats_from_moments(name: str, window: int, samples: int,
                        sums: Dict[int, int], sumsq: Dict[int, int],
                        publish: bool = True) -> RegionWindowStats:
     """Finish Table-2 statistics (and metric publication) from exact
-    moments - shared by the monolithic, streaming, and fan-out paths
-    so all three publish and round identically."""
+    moments - shared by :func:`window_stats` and the fan-out's combine
+    cell so both publish and round identically."""
     from repro import metrics
     if publish:
         registry = metrics.active()
@@ -262,16 +179,19 @@ def stats_from_moments(name: str, window: int, samples: int,
 def window_stats(trace, window: int) -> RegionWindowStats:
     """One-shot Table-2 statistics for a trace at one window size.
 
-    Computed vectorised over the columnar view (cumulative sums of the
-    region indicator arrays); :class:`SlidingWindowProfiler` is the
-    scalar reference it is tested against.  A
-    :class:`~repro.trace.shards.ShardedTrace` streams shard-by-shard
-    with byte-identical results.
+    Folds :func:`window_shard_partial` over ``trace.chunks()``
+    (cumulative sums of the region indicator arrays per chunk); the
+    equivalence tests pin it to a record-at-a-time sliding-window
+    reference at several chunk sizes.
 
     When metrics collection is enabled, publishes one
     ``trace.window<W>.<region>`` time-series per region carrying the
     exact moments (count, sum, sum of squares) of the per-window access
     counts - the inputs to Table 2's mean/std burstiness analysis.
     """
-    samples, sums, sumsq = _window_moments(trace, window)
+    if window <= 0:
+        raise ValueError("window size must be positive")
+    samples, sums, sumsq = combine_window_partials(
+        (window_shard_partial(chunk, window) for chunk in trace.chunks()),
+        window)
     return stats_from_moments(trace.name, window, samples, sums, sumsq)

@@ -2,7 +2,9 @@
 
 Runs real experiment drivers through the engine twice - sharding off,
 and sharding on at awkward shard sizes / jobs levels - against
-separate temp trace caches, and asserts the *user-visible contract*:
+separate temp trace caches (and once with no cache, where the
+fan-out's reductions fold in one cell per workload), and asserts the
+*user-visible contract*:
 rendered tables, per-cell metric snapshots, and exported metric
 documents are byte-identical.  Also covers the engine's sharded trace
 handles (manifest-derived cpu.* metrics) and the streaming CLI cells.
@@ -28,6 +30,9 @@ DRIVERS = (experiments.table1, experiments.figure2,
 
 @pytest.fixture(autouse=True)
 def _clean_state():
+    # Process-wide fault counters (shard produced/loaded/corrupt
+    # tallies included) would otherwise carry over from earlier tests.
+    engine.reset_fault_stats()
     yield
     trace_cache.configure(None)
     shards.set_shard_rows(None)
@@ -37,7 +42,8 @@ def _clean_state():
 
 
 def _run_drivers(cache_dir, shard_rows, jobs):
-    """Tables + collected per-cell metrics for every driver."""
+    """Tables + collected per-cell metrics for every driver
+    (``cache_dir=None`` runs without a trace cache)."""
     trace_cache.configure(cache_dir)
     shards.set_shard_rows(shard_rows)
     engine.reset_stage_times()
@@ -61,14 +67,31 @@ def baseline(tmp_path_factory):
     return _run_drivers(tmp_path_factory.mktemp("mono"), None, 1)
 
 
+@pytest.fixture(scope="module")
+def uncached_baseline():
+    # Cache-less cells simulate in-cell and so publish the columnar
+    # build counters a cache hit does not; compare like with like.
+    return _run_drivers(None, None, 1)
+
+
 class TestShardedExperimentIdentity:
-    @pytest.mark.parametrize("shard_rows,jobs",
-                             ((1000, 1), (1000, 2), (7777, 2)))
-    def test_tables_and_metrics_identical(self, baseline,
+    # Without a trace cache, figure2/table2 cannot fan out over shards;
+    # each workload folds its memory-backed shards in one cell instead.
+    @pytest.mark.parametrize("shard_rows,jobs,cached", (
+        pytest.param(1000, 1, True, id="1000-1"),
+        pytest.param(1000, 2, True, id="1000-2"),
+        pytest.param(7777, 2, True, id="7777-2"),
+        pytest.param(1000, 1, False, id="1000-1-nocache")))
+    def test_tables_and_metrics_identical(self, request,
                                           tmp_path_factory,
-                                          shard_rows, jobs):
-        got = _run_drivers(tmp_path_factory.mktemp("shard"),
-                           shard_rows, jobs)
+                                          shard_rows, jobs, cached):
+        if cached:
+            baseline = request.getfixturevalue("baseline")
+            cache_dir = tmp_path_factory.mktemp("shard")
+        else:
+            baseline = request.getfixturevalue("uncached_baseline")
+            cache_dir = None
+        got = _run_drivers(cache_dir, shard_rows, jobs)
         for driver in baseline:
             base_headers, base_rows, base_cells = baseline[driver]
             headers, rows, cells = got[driver]
@@ -143,13 +166,6 @@ class TestStreamingCliCells:
 
 
 class TestFanOutResilience:
-    def test_run_cells_sharded_requires_fallback_without_sharding(
-            self):
-        shards.set_shard_rows(0)
-        with pytest.raises(ValueError):
-            engine.run_cells_sharded(lambda *a: None, lambda *a: None,
-                                     NAMES, SCALE)
-
     def test_shard_counters_reported_in_resilience(self, tmp_path):
         trace_cache.configure(tmp_path)
         shards.set_shard_rows(1000)

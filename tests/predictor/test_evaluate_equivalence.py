@@ -1,11 +1,14 @@
-"""Vectorised predictor replay vs. the scalar reference implementation.
+"""Vectorised predictor replay vs. the scalar reference oracle.
 
-``evaluate_scheme`` replays traces through NumPy array operations
-(definitive-rule scoring, convolution-derived branch history, grouped
-1-bit table replay); ``evaluate_scheme_scalar`` walks records through
-the live ARPT/ContextTracker structures.  Every scheme, table size, and
-hint configuration must produce identical PredictionResults on random
-traces (hypothesis plus fixed seeds) and real compiled workloads.
+``evaluate_scheme`` replays a trace's column chunks through NumPy array
+operations (definitive-rule scoring, convolution-derived branch
+history, grouped 1-bit table replay); ``evaluate_scheme_scalar``
+(``tests.oracles``) walks records through the live ARPT/ContextTracker
+structures.  Every scheme, table size, and hint configuration must
+produce identical PredictionResults on random traces (hypothesis plus
+fixed seeds) and real compiled workloads; the fixed-seed and
+real-trace cases run at every chunking in ``CHUNK_ROWS`` (whole trace,
+1, 7, 997 rows).
 """
 
 import random
@@ -15,14 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import run_source
-from repro.predictor.evaluate import (evaluate_scheme,
-                                      evaluate_scheme_scalar,
-                                      occupancy_by_context)
+from repro.predictor.evaluate import evaluate_scheme, occupancy_by_context
 from repro.predictor.hints import hints_from_trace
 from repro.predictor.schemes import ALL_SCHEMES, Scheme
 from repro.trace.records import (OC_BRANCH, OC_IALU, OC_LOAD, OC_STORE,
                                  REGION_DATA, REGION_HEAP, REGION_STACK,
                                  Trace, TraceRecord)
+from tests.oracles import (CHUNK_ROWS, chunked, chunking_cases,
+                           evaluate_scheme_scalar)
 
 _REGIONS = (REGION_DATA, REGION_HEAP, REGION_STACK)
 _SCHEME_NAMES = tuple(s.name for s in ALL_SCHEMES)
@@ -77,10 +80,10 @@ def real_trace():
 
 
 def _assert_equivalent(trace, scheme, table_size=None, hints=None,
-                       gbh_bits=8, cid_bits=24):
-    fast = evaluate_scheme(trace, scheme, table_size=table_size,
-                           hints=hints, gbh_bits=gbh_bits,
-                           cid_bits=cid_bits)
+                       gbh_bits=8, cid_bits=24, shard_rows=0):
+    fast = evaluate_scheme(chunked(trace, shard_rows), scheme,
+                           table_size=table_size, hints=hints,
+                           gbh_bits=gbh_bits, cid_bits=cid_bits)
     reference = evaluate_scheme_scalar(trace, scheme,
                                        table_size=table_size,
                                        hints=hints, gbh_bits=gbh_bits,
@@ -90,9 +93,10 @@ def _assert_equivalent(trace, scheme, table_size=None, hints=None,
 
 class TestSchemeEquivalence:
     @pytest.mark.parametrize("scheme", _SCHEME_NAMES)
-    @pytest.mark.parametrize("seed", range(3))
-    def test_unlimited_table(self, scheme, seed):
-        _assert_equivalent(_random_trace(seed), scheme)
+    @pytest.mark.parametrize("seed,shard_rows", chunking_cases(range(3)))
+    def test_unlimited_table(self, scheme, seed, shard_rows):
+        _assert_equivalent(_random_trace(seed), scheme,
+                           shard_rows=shard_rows)
 
     @pytest.mark.parametrize("scheme", _SCHEME_NAMES)
     @pytest.mark.parametrize("table_size", (1, 16, 256))
@@ -117,12 +121,15 @@ class TestSchemeEquivalence:
             _assert_equivalent(trace, scheme, gbh_bits=gbh_bits,
                                cid_bits=cid_bits)
 
-    @pytest.mark.parametrize("scheme", _SCHEME_NAMES)
-    def test_real_trace(self, real_trace, scheme):
-        _assert_equivalent(real_trace, scheme)
-        _assert_equivalent(real_trace, scheme, table_size=64)
+    @pytest.mark.parametrize("scheme,shard_rows",
+                             chunking_cases(_SCHEME_NAMES))
+    def test_real_trace(self, real_trace, scheme, shard_rows):
+        _assert_equivalent(real_trace, scheme, shard_rows=shard_rows)
+        _assert_equivalent(real_trace, scheme, table_size=64,
+                           shard_rows=shard_rows)
         _assert_equivalent(real_trace, scheme,
-                           hints=hints_from_trace(real_trace))
+                           hints=hints_from_trace(real_trace),
+                           shard_rows=shard_rows)
 
     def test_empty_and_memoryless_traces(self):
         for trace in (Trace("empty"),
@@ -163,9 +170,11 @@ class TestTwoBitEquivalence:
     counters: correct/total counts, occupancy, the works."""
 
     @pytest.mark.parametrize("scheme", _TWO_BIT_SCHEMES)
-    @pytest.mark.parametrize("seed", (0, 1, 2, 19, 23))
-    def test_fixed_seeds(self, scheme, seed):
-        _assert_equivalent(_random_trace(seed, n=600), scheme)
+    @pytest.mark.parametrize("seed,shard_rows",
+                             chunking_cases((0, 1, 2, 19, 23)))
+    def test_fixed_seeds(self, scheme, seed, shard_rows):
+        _assert_equivalent(_random_trace(seed, n=600), scheme,
+                           shard_rows=shard_rows)
 
     @pytest.mark.parametrize("scheme", _TWO_BIT_SCHEMES)
     @pytest.mark.parametrize("table_size", (1, 4, 64, 256))
@@ -173,12 +182,15 @@ class TestTwoBitEquivalence:
         _assert_equivalent(_random_trace(17), scheme,
                            table_size=table_size)
 
-    @pytest.mark.parametrize("scheme", _TWO_BIT_SCHEMES)
-    def test_real_trace(self, real_trace, scheme):
-        _assert_equivalent(real_trace, scheme)
-        _assert_equivalent(real_trace, scheme, table_size=128)
+    @pytest.mark.parametrize("scheme,shard_rows",
+                             chunking_cases(_TWO_BIT_SCHEMES))
+    def test_real_trace(self, real_trace, scheme, shard_rows):
+        _assert_equivalent(real_trace, scheme, shard_rows=shard_rows)
+        _assert_equivalent(real_trace, scheme, table_size=128,
+                           shard_rows=shard_rows)
         _assert_equivalent(real_trace, scheme,
-                           hints=hints_from_trace(real_trace))
+                           hints=hints_from_trace(real_trace),
+                           shard_rows=shard_rows)
 
     def test_long_biased_runs_saturate(self):
         """Long same-direction runs pin counters at 0/3 - the freeze
@@ -242,10 +254,10 @@ class TestTableSizeValidation:
 
 
 class TestOccupancyByContext:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_scalar_probes(self, seed):
+    @pytest.mark.parametrize("seed,shard_rows", chunking_cases(range(3)))
+    def test_matches_scalar_probes(self, seed, shard_rows):
         trace = _random_trace(seed)
-        fast = occupancy_by_context(trace)
+        fast = occupancy_by_context(chunked(trace, shard_rows))
         for context, occupancy in fast.items():
             scheme = Scheme(f"probe-{context}", uses_table=True, bits=1,
                             context=context)
@@ -254,6 +266,15 @@ class TestOccupancyByContext:
 
     def test_real_trace(self, real_trace):
         fast = occupancy_by_context(real_trace)
+        for context, occupancy in fast.items():
+            scheme = Scheme(f"probe-{context}", uses_table=True, bits=1,
+                            context=context)
+            assert occupancy \
+                == evaluate_scheme_scalar(real_trace, scheme).occupancy
+
+    @pytest.mark.parametrize("shard_rows", CHUNK_ROWS[1:])
+    def test_real_trace_chunked(self, real_trace, shard_rows):
+        fast = occupancy_by_context(chunked(real_trace, shard_rows))
         for context, occupancy in fast.items():
             scheme = Scheme(f"probe-{context}", uses_table=True, bits=1,
                             context=context)

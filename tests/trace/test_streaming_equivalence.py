@@ -1,13 +1,14 @@
-"""Shard-streamed reductions vs. the in-RAM columnar path.
+"""Shard-streamed reductions vs. the same reductions on one chunk.
 
-Every analysis that accepts a :class:`ShardedTrace` - the Figure 2
-region breakdown, single-region PC hints, Table 2 window statistics,
-and the full predictor replay - must produce results *identical* to
-the monolithic in-RAM computation at any shard size, including shard
+Every reduction folds over ``trace.chunks()`` - the Figure 2 region
+breakdown, single-region PC hints, Table 2 window statistics, and the
+full predictor replay - and must produce results *identical* to the
+whole trace taken as a single chunk at any shard size, including shard
 boundaries that split a region run, a sliding window, or an ARPT
 entry's counter history.  Fixed seeds pin the carry-state contracts;
 hypothesis hunts boundary cases (empty traces, shards smaller than
-the window, single-element shards).
+the window, single-element shards).  The independent check against
+the scalar oracles lives in the vector/evaluate equivalence suites.
 """
 
 import random

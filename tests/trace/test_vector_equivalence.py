@@ -1,10 +1,12 @@
-"""Vectorised profiler paths vs. the retained scalar references.
+"""Vectorised profiler paths vs. the scalar reference oracles.
 
 The Figure 2 breakdown and Table 2 window statistics are computed with
-NumPy reductions over the columnar view; ``RegionClassifier`` and
-``SlidingWindowProfiler`` remain the record-at-a-time ground truth.
-These tests pin the fast paths to the references on random traces
-(hypothesis plus fixed seeds) and on a real compiled workload.
+NumPy reductions folded over a trace's column chunks;
+``RegionClassifier`` and ``SlidingWindowProfiler`` (``tests.oracles``)
+remain the record-at-a-time ground truth.  These tests pin the fast
+paths to the references on random traces (hypothesis plus fixed seeds)
+and on a real compiled workload; the fixed-seed and real-trace cases
+run at every chunking in ``CHUNK_ROWS`` (whole trace, 1, 7, 997 rows).
 """
 
 import random
@@ -18,9 +20,10 @@ from repro.trace.records import (MODE_OTHER, MODE_STACK, OC_BRANCH,
                                  OC_IALU, OC_LOAD, OC_STORE, REGION_DATA,
                                  REGION_HEAP, REGION_STACK, Trace,
                                  TraceRecord)
-from repro.trace.regions import (RegionClassifier, region_breakdown,
-                                 single_region_pcs)
-from repro.trace.windows import (SlidingWindowProfiler, window_stats)
+from repro.trace.regions import region_breakdown, single_region_pcs
+from repro.trace.windows import window_stats
+from tests.oracles import (CHUNK_ROWS, RegionClassifier,
+                           SlidingWindowProfiler, chunked, chunking_cases)
 
 _REGIONS = (REGION_DATA, REGION_HEAP, REGION_STACK)
 
@@ -80,28 +83,40 @@ def _reference_breakdown(trace):
 
 
 class TestRegionBreakdownEquivalence:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_fixed_seed_traces(self, seed):
+    @pytest.mark.parametrize("seed,shard_rows", chunking_cases(range(6)))
+    def test_fixed_seed_traces(self, seed, shard_rows):
         trace = _random_trace(seed)
         reference = _reference_breakdown(trace).breakdown(trace.name)
-        assert region_breakdown(trace) == reference
+        assert region_breakdown(chunked(trace, shard_rows)) == reference
 
     def test_real_trace(self, real_trace):
         reference = _reference_breakdown(real_trace)\
             .breakdown(real_trace.name)
         assert region_breakdown(real_trace) == reference
 
+    @pytest.mark.parametrize("shard_rows", CHUNK_ROWS[1:])
+    def test_real_trace_chunked(self, real_trace, shard_rows):
+        reference = _reference_breakdown(real_trace)\
+            .breakdown(real_trace.name)
+        assert region_breakdown(chunked(real_trace, shard_rows)) \
+            == reference
+
     def test_empty_trace(self):
         assert region_breakdown(Trace("empty")).total_dynamic == 0
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_single_region_pcs(self, seed):
+    @pytest.mark.parametrize("seed,shard_rows", chunking_cases(range(4)))
+    def test_single_region_pcs(self, seed, shard_rows):
         trace = _random_trace(seed)
-        assert single_region_pcs(trace) \
+        assert single_region_pcs(chunked(trace, shard_rows)) \
             == _reference_breakdown(trace).single_region_pcs()
 
     def test_single_region_pcs_real(self, real_trace):
         assert single_region_pcs(real_trace) \
+            == _reference_breakdown(real_trace).single_region_pcs()
+
+    @pytest.mark.parametrize("shard_rows", CHUNK_ROWS[1:])
+    def test_single_region_pcs_real_chunked(self, real_trace, shard_rows):
+        assert single_region_pcs(chunked(real_trace, shard_rows)) \
             == _reference_breakdown(real_trace).single_region_pcs()
 
     @settings(max_examples=25, deadline=None)
@@ -128,16 +143,17 @@ def _reference_windows(trace, window):
 
 
 class TestWindowStatsEquivalence:
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed,shard_rows", chunking_cases(range(4)))
     @pytest.mark.parametrize("window", (1, 4, 32))
-    def test_fixed_seed_traces(self, seed, window):
+    def test_fixed_seed_traces(self, seed, window, shard_rows):
         trace = _random_trace(seed)
-        assert window_stats(trace, window) \
+        assert window_stats(chunked(trace, shard_rows), window) \
             == _reference_windows(trace, window)
 
-    @pytest.mark.parametrize("window", (1, 16, 64, 128))
-    def test_real_trace(self, real_trace, window):
-        assert window_stats(real_trace, window) \
+    @pytest.mark.parametrize("window,shard_rows",
+                             chunking_cases((1, 16, 64, 128)))
+    def test_real_trace(self, real_trace, window, shard_rows):
+        assert window_stats(chunked(real_trace, shard_rows), window) \
             == _reference_windows(real_trace, window)
 
     def test_window_larger_than_trace(self):
